@@ -18,7 +18,7 @@ export PYTHONPATH := src
 
 .PHONY: test chaos bench-paremsp bench-trace bench bench-history \
 	bench-density dispatch-table perf-gate analyze-trace service-smoke \
-	service-metrics-smoke shard-smoke net-shard-smoke
+	service-metrics-smoke shard-smoke shard-soak net-shard-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -118,6 +118,20 @@ service-metrics-smoke:
 shard-smoke:
 	$(PYTHON) benchmarks/bench_shard_smoke.py --repeats 2 \
 		--out BENCH_paremsp.json --history benchmarks/history
+
+# sharded-runtime soak: the shard-count x death byte-identity matrix
+# and the shard chaos cells, SOAK_RUNS times in a row (default 50),
+# stopping at the first failure. A timing-dependent supervisor bug
+# shows up here long before it shows up once in `make test`.
+SOAK_RUNS ?= 50
+shard-soak:
+	@for i in $$(seq $(SOAK_RUNS)); do \
+		echo "shard-soak run $$i/$(SOAK_RUNS)"; \
+		$(PYTHON) -m pytest -q tests/test_parallel_sharded.py \
+			-k byte_identical || exit 1; \
+		$(PYTHON) -m pytest -q tests/test_faults_matrix.py \
+			-k shard_cell || exit 1; \
+	done
 
 # multi-host gate (see docs/SHARDED.md "Multi-host"): labels the same
 # ~64 MB raster across 2 loopback virtual hosts x 4 shards over the

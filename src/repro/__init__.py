@@ -56,7 +56,7 @@ from .parallel.tiled import tiled_label
 from .types import Connectivity, ensure_input
 from .volume import volume_label
 
-__version__ = "1.9.0"
+__version__ = "1.10.1"
 
 __all__ = [
     "label",

@@ -1,78 +1,58 @@
-"""The multi-host cluster coordinator: ``shard_label`` across hosts.
+"""The worker-host pool: ``shard_label``'s pipeline across hosts.
 
-:func:`net_shard_label` runs the elastic sharded pipeline of
-:mod:`repro.parallel.sharded` with the *ranks* replaced by **hosts** —
+:func:`net_shard_label` is the second entry point of the one sharded
+job runner in :mod:`repro.parallel.sharded`; what it adds is a worker
+pool, :class:`NetPool`, whose workers are **hosts** —
 ``repro-shard-worker`` daemons reached over the :mod:`.transport`
-channels, or loopback "virtual hosts" forked by
-:class:`VirtualHostPool` so CI can exercise every multi-host failure
-mode on one machine. The division of labour:
+channels, or loopback "virtual hosts" forked by :class:`VirtualHostPool`
+so CI can exercise every multi-host failure mode on one machine. The
+pool runs under the same phase supervisor as the local ranks
+(watchdog, quorum, raise-or-degrade, done-marker fold); what differs
+is how it moves work:
 
 * **bulk data stays on the shared filesystem** — the image memmap, the
   provisional-label memmap, forests, seam pairs, checkpoints and the
-  durable done markers all live in the same scratch tree the
-  single-host runtime uses; the sockets carry *control* only (task
-  dispatch, replies, liveness), so the wire cost is independent of the
-  raster size;
+  durable done markers all live in the same scratch tree local ranks
+  use; the sockets carry *control* only (task dispatch, replies,
+  liveness), so the wire cost is independent of the raster size;
+* **dispatch is an in-memory task board** (:class:`_TaskBoard`) drained
+  by one dispatcher thread per host, instead of claim files;
 * **liveness is lease-based** (:class:`~.membership.LeaseTable` on the
   coordinator's monotonic clock): a host that stops answering pings
-  loses its lease, its claimed tasks migrate to the survivors — the
-  same claim-release path a dead local rank takes — and when the
-  partition heals it rejoins with a bumped incarnation, its stale work
-  deduplicated by the done markers;
-* **degradation is a ladder**: unreachable-majority (quorum loss)
-  steps down to the single-host elastic pool
-  (:func:`~repro.parallel.sharded._run_phase`), which itself steps
-  down to inline execution — each drop recorded as a reasoned
-  ``meta["degraded_from"]``, never a silent behaviour change.
+  loses its lease and its claimed tasks migrate to the survivors; when
+  the partition heals it rejoins with a bumped incarnation, its stale
+  work deduplicated by the done markers.
 
-Byte-identity with serial ``tiled_label`` is inherited from the
-sharded runtime: hosts execute exactly the tasks local ranks would,
-against the same scratch tree, so the proof in
-:mod:`repro.parallel.sharded`'s docstring applies unchanged.
+The hosts are the top rung of the degradation ladder: quorum loss hands
+the job to local ranks, then inline execution, each drop recorded as a
+reasoned ``meta["degraded_from"]``. Byte-identity with serial
+``tiled_label`` is inherited: hosts execute exactly the tasks local
+ranks would, against the same scratch tree.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
 import pathlib
-import shutil
 import tempfile
 import threading
 import time
 
 import numpy as np
 
-from ...ccl.labeling import CCLResult, check_label_capacity
-from ...errors import (
-    ClusterQuorumError,
-    NetError,
-    PeerUnreachableError,
-    PhaseTimeoutError,
-)
-from ...faults import (
-    DEFAULT_RESILIENCE,
-    NULL_PLAN,
-    degradation_reason,
-    record_injection,
-)
-from ...obs import NULL_RECORDER, PhaseTimer, get_recorder
-from ...obs.runtime import get_runtime_aggregator
+from ...ccl.labeling import CCLResult
+from ...errors import ClusterQuorumError, NetError, PeerUnreachableError
+from ...faults import DEFAULT_RESILIENCE, NULL_PLAN, record_injection
+from ...obs import NULL_RECORDER
 from ..backends.executor import executor_context
 from ..sharded import (
-    _compute_offsets,
-    _ensure_shard_image,
-    _finalize_output,
-    _flatten_lut,
-    _init_scratch,
-    _open_prov,
-    _phase_dir,
-    _record_claims_released,
-    _run_phase,
+    _count,
+    _RankPool,
+    _run_job,
     _save_npy_atomic,
+    _supervise_phase,
     _undone,
-    build_reduce_schedule,
-    plan_shards,
 )
 from ..supervisor import kill_workers
 from .membership import LeaseTable
@@ -285,16 +265,6 @@ class _Host:
         )
 
 
-def _net_count(recorder, name: str, n: int = 1, labels=None) -> None:
-    """Count on the run recorder and, when a live ``/metrics`` endpoint
-    is attached, on the ambient aggregator with host labels."""
-    if recorder.enabled:
-        recorder.count(name, n)
-    agg = get_runtime_aggregator()
-    if agg is not None:
-        agg.inc(name, n, labels=labels)
-
-
 class NetPool:
     """A set of worker hosts, their channels, leases and dispatchers.
 
@@ -302,6 +272,13 @@ class NetPool:
     phase across every host whose lease is alive, migrating work off
     hosts that go silent and welcoming back hosts that rejoin.
     """
+
+    backend = "net-sharded"
+    ranks: tuple[int, ...] = ()
+    counters = (
+        "net_tasks", "tasks_deduped", "task_errors", "lease_expired",
+        "rejoined", "partitions", "claims_released",
+    )
 
     def __init__(
         self,
@@ -365,10 +342,6 @@ class NetPool:
         }
         self._stats_lock = threading.Lock()
 
-    def _bump(self, key: str, n: int = 1) -> None:
-        with self._stats_lock:
-            self.stats[key] += n
-
     # -- membership -------------------------------------------------------
 
     def connect(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -389,7 +362,7 @@ class NetPool:
             host.ping.close()
             host.work.close()
 
-    # -- one phase --------------------------------------------------------
+    # -- one phase, under the shared phase supervisor ---------------------
 
     def run_phase(
         self,
@@ -403,32 +376,51 @@ class NetPool:
     ) -> dict:
         """Drive one phase's tasks across the alive hosts.
 
-        Returns an agg dict shaped like the local ``_run_phase``'s; on
-        quorum loss / watchdog expiry with *degrade* allowed the agg
-        carries a reasoned ``degraded`` record and the caller finishes
-        the remaining tasks down the ladder. Task completion truth is
-        the done markers, so a later local continuation (or a healed
-        host's stale reply) can never double-run work.
+        Runs under the shared phase supervisor
+        (:func:`repro.parallel.sharded._supervise_phase`). On quorum
+        loss, a task every host rejects, or watchdog expiry with
+        *degrade* allowed, the returned stats carry a reasoned
+        ``degraded`` record and the caller finishes the remaining tasks
+        down the ladder. Task completion truth is the done markers, so
+        a later local continuation (or a healed host's stale reply) can
+        never double-run work. Once this returns, the phase's monitor
+        and dispatcher threads have stopped counting: its stats are
+        final.
         """
-        scratch = pathlib.Path(ctx_wire["scratch"])
-        pdir = _phase_dir(scratch, phase)
-        for sub in ("claim", "done", "hb"):
-            (pdir / sub).mkdir(parents=True, exist_ok=True)
+        return _supervise_phase(
+            self, ctx_wire, phase, tasks, payload,
+            timeout=phase_timeout, degrade=degrade,
+        )
 
-        agg: dict = {
-            "tasks": len(tasks),
-            "net_tasks": 0,
-            "tasks_deduped": 0,
-            "task_errors": 0,
-            "lease_expired": 0,
-            "rejoined": 0,
-            "partitions": 0,
-            "claims_released": 0,
-            "degraded": None,
-        }
-        if not _undone(pdir, tasks):
-            agg["skipped"] = True
-            return agg
+    def _begin(self, ctx_wire, pdir, phase, tasks, payload, agg) -> None:
+        stop = self._stop = threading.Event()
+        thread_lock = self._thread_lock = threading.Lock()
+        threads: list[threading.Thread] = []
+        self._threads, self._agg, self._phase = threads, agg, phase
+        poison = self._poison = []
+        board = self._board = _TaskBoard(pdir, tasks)
+        dispatchers: dict[int, threading.Thread] = {}
+
+        def tally(key: str, n: int = 1) -> None:
+            # after _end sets `stop` the phase is accounted: a dispatcher
+            # still blocked in a host call by then can no longer count.
+            with self._stats_lock:
+                if not stop.is_set():
+                    agg[key] += n
+                    if key in self.stats:
+                        self.stats[key] += n
+
+        def spawn(target, name: str, *args) -> threading.Thread | None:
+            # callers hold thread_lock: once _end has set `stop` and
+            # listed the threads to join, no new one can be born.
+            if stop.is_set():
+                return None
+            thread = threading.Thread(
+                target=target, args=args, name=name, daemon=True
+            )
+            threads.append(thread)
+            thread.start()
+            return thread
 
         # partition directives are arbitrated here, at the phase
         # boundary: the fault names the shard phase it blacks out and
@@ -441,19 +433,9 @@ class NetPool:
                 if spec is not None:
                     record_injection(self.recorder, spec)
                     host.link.cut(spec.delay_seconds)
-                    agg["partitions"] += 1
-                    self._bump("partitions")
-                    _net_count(
-                        self.recorder, "net.partitions",
-                        labels={"host": host.name},
-                    )
-
-        board = _TaskBoard(pdir, tasks)
-        stop = threading.Event()
-        threads: list[threading.Thread] = []
-        dispatchers: dict[int, threading.Thread] = {}
-        thread_lock = threading.Lock()
-        poison: list[str] = []
+                    tally("partitions")
+                    _count(self.recorder, "net.partitions",
+                           labels={"host": host.name})
 
         def dispatch(host: _Host) -> None:
             while not stop.is_set():
@@ -485,22 +467,14 @@ class NetPool:
                         # the task was already done-marked (a migrated
                         # duplicate, or pre-partition work that landed):
                         # idempotency made the re-send a no-op.
-                        with self._stats_lock:
-                            agg["tasks_deduped"] += 1
-                        self._bump("tasks_deduped")
-                        _net_count(
-                            self.recorder, "net.tasks_deduped",
-                            labels={"host": host.name},
-                        )
+                        tally("tasks_deduped")
+                        _count(self.recorder, "net.tasks_deduped",
+                               labels={"host": host.name})
                     else:
-                        with self._stats_lock:
-                            agg["net_tasks"] += 1
-                        self._bump("net_tasks")
+                        tally("net_tasks")
                     board.done(task)
                 else:
-                    with self._stats_lock:
-                        agg["task_errors"] += 1
-                    self._bump("task_errors")
+                    tally("task_errors")
                     board.release(task, host.index)
                     if board.fail(task) > self.config.max_retries:
                         # every host rejects this task: a deterministic
@@ -517,20 +491,16 @@ class NetPool:
         def start_dispatcher(host: _Host) -> None:
             with thread_lock:
                 existing = dispatchers.get(host.index)
-                if existing is not None and existing.is_alive():
-                    return
-                thread = threading.Thread(
-                    target=dispatch, args=(host,),
-                    name=f"net-dispatch-{phase}-{host.index}",
-                    daemon=True,
-                )
-                dispatchers[host.index] = thread
-                threads.append(thread)
-                thread.start()
+                if existing is None or not existing.is_alive():
+                    dispatchers[host.index] = spawn(
+                        dispatch, f"net-dispatch-{phase}-{host.index}", host
+                    )
 
         def monitor() -> None:
             while not stop.is_set():
                 for host in self.hosts:
+                    if stop.is_set():
+                        return
                     try:
                         host.ping.call({"t": "ping"})
                     except (NetError, OSError):
@@ -539,115 +509,61 @@ class NetPool:
                         # expired -> renewed: the partition healed. New
                         # incarnation, fresh dispatcher; its first
                         # re-claims dedup against the done markers.
-                        agg["rejoined"] += 1
-                        self._bump("rejoined")
-                        _net_count(
-                            self.recorder, "net.rejoined",
-                            labels={"host": host.name},
-                        )
+                        tally("rejoined")
+                        _count(self.recorder, "net.rejoined",
+                               labels={"host": host.name})
                         start_dispatcher(host)
                 for name in self.leases.sweep():
-                    host = next(
-                        h for h in self.hosts if h.name == name
-                    )
+                    host = next(h for h in self.hosts if h.name == name)
                     released = board.release_host(host.index)
-                    agg["lease_expired"] += 1
-                    agg["claims_released"] += released
-                    self._bump("lease_expired")
-                    _net_count(
-                        self.recorder, "net.lease_expired",
-                        labels={"host": host.name},
-                    )
-                    _record_claims_released(
-                        self.recorder, f"host{host.index}", released
-                    )
+                    tally("lease_expired")
+                    tally("claims_released", released)
+                    _count(self.recorder, "net.lease_expired",
+                           labels={"host": host.name})
+                    _count(self.recorder, "shard.claims_released", released,
+                           labels={"rank": f"host{host.index}"})
                 stop.wait(self.heartbeat_interval)
 
-        deadline = time.monotonic() + phase_timeout
-        mon = threading.Thread(
-            target=monitor, name=f"net-monitor-{phase}", daemon=True
-        )
-        threads.append(mon)
-        mon.start()
+        with thread_lock:
+            spawn(monitor, f"net-monitor-{phase}")
         for host in self.hosts:
             if self.leases.is_alive(host.name):
                 start_dispatcher(host)
 
-        degrade_reason: dict | None = None
-        try:
-            while not board.finished():
-                if poison:
-                    err = NetError(
-                        f"net phase {phase!r}: task failed on every "
-                        f"host ({poison[0]})"
-                    )
-                    if not degrade:
-                        raise err
-                    degrade_reason = degradation_reason(
-                        "net-sharded", err
-                    )
-                    break
-                if time.monotonic() > deadline:
-                    if self.recorder.enabled:
-                        self.recorder.count("watchdog.timeout")
-                    err = PhaseTimeoutError(
-                        f"net phase {phase!r} watchdog expired after "
-                        f"{phase_timeout:.1f}s with "
-                        f"{len(_undone(pdir, tasks))} task(s) "
-                        "unfinished",
-                        phase=phase,
-                        timeout=phase_timeout,
-                    )
-                    if not degrade:
-                        raise err
-                    degrade_reason = degradation_reason(
-                        "net-sharded", err
-                    )
-                    break
-                alive = self.leases.alive_members()
-                if len(alive) < self.quorum:
-                    unreachable = tuple(
-                        h.name for h in self.hosts if h.name not in alive
-                    )
-                    err = ClusterQuorumError(
-                        f"net phase {phase!r} lost quorum: "
-                        f"{len(alive)} of {len(self.hosts)} host(s) "
-                        f"reachable (need {self.quorum}); unreachable: "
-                        f"{list(unreachable)}",
-                        reachable=alive,
-                        unreachable=unreachable,
-                        quorum=self.quorum,
-                    )
-                    if not degrade:
-                        raise err
-                    degrade_reason = degradation_reason(
-                        "net-sharded", err
-                    )
-                    break
-                stop.wait(_NET_POLL)
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=1.0)
+    def _finished(self) -> bool:
+        return self._board.finished()
 
-        if degrade_reason is not None:
-            agg["degraded"] = degrade_reason
-            _net_count(self.recorder, "net.degraded")
-        else:
-            # every done marker this phase produced, whoever wrote it
-            for task in tasks:
-                try:
-                    stats = json.loads(
-                        (pdir / "done" / task).read_text()
-                    )
-                except (OSError, ValueError):
-                    continue
-                for key in ("tiles", "rescan_chunks", "seam_recovered"):
-                    if stats.get(key):
-                        agg[key] = agg.get(key, 0) + int(stats[key])
-                if stats.get("resumed"):
-                    agg.setdefault("resumed_tasks", []).append(task)
-        return agg
+    def _step(self, deadline: float) -> Exception | None:
+        if self._poison:
+            return NetError(
+                f"net phase {self._phase!r}: task failed on every host "
+                f"({self._poison[0]})"
+            )
+        alive = self.leases.alive_members()
+        if len(alive) < self.quorum:
+            unreachable = tuple(
+                h.name for h in self.hosts if h.name not in alive
+            )
+            return ClusterQuorumError(
+                f"net phase {self._phase!r} lost quorum: "
+                f"{len(alive)} of {len(self.hosts)} host(s) reachable "
+                f"(need {self.quorum}); unreachable: {list(unreachable)}",
+                reachable=alive,
+                unreachable=unreachable,
+                quorum=self.quorum,
+            )
+        self._stop.wait(_NET_POLL)
+        return None
+
+    def _end(self) -> None:
+        with self._stats_lock:
+            self._stop.set()
+        with self._thread_lock:
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join(timeout=1.0)
+        if self._agg["degraded"]:
+            _count(self.recorder, "net.degraded")
 
 
 # ---------------------------------------------------------------------------
@@ -730,213 +646,69 @@ def net_shard_label(
     Everything else (sharding, checkpoints, ``resume``, ``out``) means
     exactly what it means for :func:`repro.parallel.sharded.shard_label`.
     """
-    rec = recorder if recorder is not None else get_recorder()
-    resilience = resilience if resilience is not None else DEFAULT_RESILIENCE
-    fault_plan = fault_plan if fault_plan is not None else NULL_PLAN
     if (hosts is None) == (virtual_hosts is None):
         raise ValueError(
             "exactly one of hosts= or virtual_hosts= must be given"
         )
-    th, tw = tile_shape
-    if th < 1 or tw < 1:
-        raise ValueError(f"tile dimensions must be >= 1, got {tile_shape!r}")
-    image = _ensure_shard_image(image)
-    rows, cols = image.shape
-    check_label_capacity((rows, cols))
-    if rows == 0 or cols == 0:
-        from ..tiled import tiled_label
+    resilience = resilience if resilience is not None else DEFAULT_RESILIENCE
+    fault_plan = fault_plan if fault_plan is not None else NULL_PLAN
 
-        return tiled_label(
-            image, tile_shape=tile_shape, connectivity=connectivity,
-            recorder=rec, out=out,
-        )
-
-    plan = plan_shards(rows, cols, (th, tw), n_shards)
-    S = plan.n_shards
-    # the same fingerprint as the single-host runtime on purpose: a
-    # net-mode scratch is resumable by shard_label and vice versa.
-    fingerprint = {
-        "kind": "sharded",
-        "shape": [rows, cols],
-        "dtype": str(np.asarray(image).dtype),
-        "tile_shape": [th, tw],
-        "connectivity": connectivity,
-        "n_shards": S,
-    }
-
-    tmp_ctx = None
-    if checkpoint_dir is not None:
-        ck_root = pathlib.Path(checkpoint_dir)
-        ck_root.mkdir(parents=True, exist_ok=True)
-        scratch = ck_root / "scratch"
-        if not resume and scratch.exists():
-            shutil.rmtree(scratch)
-    else:
-        tmp_ctx = tempfile.TemporaryDirectory(prefix="repro-netshard-")
-        scratch = pathlib.Path(tmp_ctx.name) / "scratch"
-
-    vpool: VirtualHostPool | None = None
-    pool: NetPool | None = None
-    mark = rec.mark()
-    timer = PhaseTimer(rec)
-    try:
-        _init_scratch(scratch, fingerprint, rows, cols)
-        image_path = _wire_image_path(image, scratch)
-
-        ctx = {
-            "scratch": str(scratch),
-            "image": image,
-            "plan": plan,
-            "connectivity": connectivity,
-            "checkpoint_every": checkpoint_every,
-            "use_checkpoint": checkpoint_dir is not None,
-            "fingerprint": fingerprint,
-        }
-        ctx_wire = {
-            "scratch": str(scratch),
-            "image_path": image_path,
-            "rows": rows,
-            "cols": cols,
-            "tile_shape": [th, tw],
-            "bands": [list(b) for b in plan.bands],
-            "connectivity": connectivity,
-            "checkpoint_every": checkpoint_every,
-            "use_checkpoint": checkpoint_dir is not None,
-            "fingerprint": fingerprint,
-        }
-
-        if virtual_hosts is not None:
-            vpool = VirtualHostPool(int(virtual_hosts))
-            addrs = vpool.addrs
-        else:
-            addrs = parse_hosts(hosts)
-        quorum = (
-            int(quorum_hosts) if quorum_hosts is not None
-            else max(1, (len(addrs) + 1) // 2)
-        )
-        pool = NetPool(
-            addrs,
-            config=net_config,
-            recorder=rec,
-            fault_plan=fault_plan,
-            lease_duration=lease_duration,
-            heartbeat_interval=heartbeat_interval,
-            quorum=quorum,
-        )
-        alive, unreachable = pool.connect()
-        net_ok = len(alive) >= quorum
-        degraded_from: dict | None = None
-        if not net_ok:
-            err = ClusterQuorumError(
-                f"only {len(alive)} of {len(addrs)} host(s) reachable "
-                f"at start (need {quorum}); unreachable: "
-                f"{list(unreachable)}",
-                reachable=alive,
-                unreachable=unreachable,
-                quorum=quorum,
-            )
-            if not degrade:
-                raise err
-            degraded_from = degradation_reason("net-sharded", err)
-            _net_count(rec, "net.degraded")
-
-        local_ranks = max(1, min(S, 8))
-        phase_stats: dict[str, dict] = {}
-
-        def run(phase: str, tasks: list[str], payload: dict | None) -> None:
-            nonlocal net_ok, degraded_from
-            net_stats = None
-            if net_ok:
-                net_stats = pool.run_phase(
-                    phase, tasks, payload, ctx_wire,
-                    phase_timeout=resilience.phase_timeout,
-                    degrade=degrade,
-                )
-                if net_stats.get("degraded"):
-                    # quorum loss (or a poisoned task) mid-run: step
-                    # down the ladder for the rest of the job. The done
-                    # markers make the scratch resume-correct, so the
-                    # local pool only runs what the hosts did not.
-                    net_ok = False
-                    if degraded_from is None:
-                        degraded_from = net_stats["degraded"]
-            if not net_ok:
-                local = _run_phase(
-                    ctx, phase, tasks, payload,
-                    n_ranks=local_ranks,
-                    resilience=resilience,
-                    fault_plan=fault_plan,
-                    recorder=rec,
-                    quorum=1,
-                    heartbeat_timeout=None,
-                    degrade=degrade,
-                )
-                if net_stats is not None:
-                    local["net"] = net_stats
-                phase_stats[phase] = local
+    @contextlib.contextmanager
+    def hosts_then_ranks(ctx: dict, rec):
+        with contextlib.ExitStack() as stack:
+            if virtual_hosts is not None:
+                addrs = stack.enter_context(
+                    VirtualHostPool(int(virtual_hosts))
+                ).addrs
             else:
-                phase_stats[phase] = net_stats
+                addrs = parse_hosts(hosts)
+            pool = NetPool(
+                addrs,
+                config=net_config,
+                recorder=rec,
+                fault_plan=fault_plan,
+                lease_duration=lease_duration,
+                heartbeat_interval=heartbeat_interval,
+                quorum=quorum_hosts,
+            )
+            stack.callback(pool.close)
+            # too few reachable hosts fails the first phase's quorum
+            # check, which steps the job down to the local ranks.
+            pool.connect()
+            plan = ctx["plan"]
+            wire = {
+                key: ctx[key]
+                for key in ("scratch", "connectivity", "checkpoint_every",
+                            "use_checkpoint", "fingerprint")
+            }
+            wire.update(
+                image_path=_wire_image_path(
+                    ctx["image"], pathlib.Path(ctx["scratch"])
+                ),
+                rows=plan.rows,
+                cols=plan.cols,
+                tile_shape=list(plan.tile_shape),
+                bands=[list(band) for band in plan.bands],
+            )
+            local = _RankPool(
+                max(1, min(plan.n_shards, 8)),
+                resilience=resilience, fault_plan=fault_plan, recorder=rec,
+                quorum=1, heartbeat_timeout=None,
+            )
+            if rec.enabled:
+                rec.gauge("net.n_hosts", len(addrs))
+            yield [(pool, wire), (local, ctx)], {
+                "n_hosts": len(addrs),
+                "hosts": [f"{h}:{p}" for h, p in addrs],
+                "virtual_hosts": virtual_hosts is not None,
+                "quorum_hosts": pool.quorum,
+                "net": pool.stats,
+            }
 
-        with timer.time("scan"):
-            run("scan", [f"shard-{s:04d}" for s in range(S)], None)
-
-        offsets, totals, total = _compute_offsets(scratch, S)
-
-        with timer.time("seam"):
-            if S > 1:
-                run("seam", [f"seam-{s:04d}" for s in range(S - 1)], None)
-
-        levels, top_ref = build_reduce_schedule(S)
-        with timer.time("reduce"):
-            for level, nodes in enumerate(levels):
-                payload = {node["id"]: node for node in nodes}
-                run(
-                    f"reduce-{level}",
-                    [node["id"] for node in nodes],
-                    payload,
-                )
-
-        with timer.time("flatten"):
-            lut, n_components = _flatten_lut(ctx, top_ref, total)
-
-        with timer.time("label"):
-            prov = _open_prov(ctx, "r")
-            final = _finalize_output(lut, prov, plan, offsets, totals, out)
-            del prov
-
-        net_totals = dict(pool.stats)
-        shutil.rmtree(scratch, ignore_errors=True)
-    finally:
-        if pool is not None:
-            pool.close()
-        if vpool is not None:
-            vpool.close()
-        if tmp_ctx is not None:
-            tmp_ctx.cleanup()
-
-    if rec.enabled:
-        rec.gauge("net.n_hosts", len(addrs))
-        rec.gauge("shard.n_shards", S)
-    meta = {
-        "n_shards": S,
-        "n_hosts": len(addrs),
-        "hosts": [f"{h}:{p}" for h, p in addrs],
-        "virtual_hosts": virtual_hosts is not None,
-        "quorum_hosts": quorum,
-        "tile_shape": (th, tw),
-        "n_tiles": plan.n_tiles,
-        "reduce_levels": len(levels),
-        "phases": phase_stats,
-        "net": net_totals,
-    }
-    if degraded_from is not None:
-        meta["degraded_from"] = degraded_from
-    return CCLResult(
-        labels=final,
-        n_components=n_components,
-        provisional_count=total,
-        phase_seconds=timer.seconds,
-        algorithm="net-sharded",
-        meta=meta,
-        timings=rec.report(since=mark) if rec.enabled else None,
+    return _run_job(
+        image, algorithm="net-sharded", open_pools=hosts_then_ranks,
+        tile_shape=tile_shape, connectivity=connectivity, n_shards=n_shards,
+        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
+        resume=resume, out=out, recorder=recorder, resilience=resilience,
+        degrade=degrade,
     )

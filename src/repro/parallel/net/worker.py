@@ -236,14 +236,7 @@ class WorkerServer:
             payload = None
             if msg.get("node") is not None:
                 payload = {task: msg["node"]}
-            stats = _execute_task(
-                ctx,
-                phase,
-                task,
-                payload,
-                heartbeat=lambda: None,
-                batch_tick=lambda: None,
-            )
+            stats = _execute_task(ctx, phase, task, payload)
             _mark_done(pdir, task, stats)
             self.executed += 1
             return {"ok": True, "stats": stats}

@@ -1,15 +1,14 @@
 """Elastic sharded labeling: fault-tolerant shards + tree-reduce seams.
 
-The out-of-core answer to ROADMAP item 4. A huge raster (typically an
-``np.memmap``) is cut into **shards** — contiguous bands of whole tile
-rows — and labeled by a pool of N OS processes, each shard running the
-tiled pipeline locally and checkpointing through its own
-:class:`~repro.checkpoint.SnapshotStore`. Cross-shard seams are then
-resolved by a **tree-reduce** over seam equivalence pairs: adjacent
+The out-of-core form of PAREMSP's two phases (arXiv:1606.05973): a
+huge raster (typically an ``np.memmap``) is cut into **shards** —
+contiguous bands of whole tile rows — each scanned by the tiled
+pipeline and checkpointed through its own
+:class:`~repro.checkpoint.SnapshotStore`; cross-shard seams are then
+resolved by a **tree-reduce** over seam equivalence pairs (adjacent
 shard groups merge their REMSP forests pairwise, level by level, so the
-merge depth is ``ceil(log2(S))`` and no single rank ever gathers all
-``S`` forests (the root-gather bottleneck of
-:mod:`repro.parallel.distributed` is gone).
+merge depth is ``ceil(log2(S))`` and no single worker gathers all ``S``
+forests), and FLATTEN turns the merged forest into final labels.
 
 Byte-identity with serial :func:`~repro.parallel.tiled.tiled_label` is
 by construction, not by canonicalisation:
@@ -27,24 +26,32 @@ by construction, not by canonicalisation:
 * FLATTEN depends only on the equivalence-class partition, which is
   identical — so the final labels are identical bytes.
 
-The robustness core is the **elastic pool**: shard/seam/reduce tasks
-live as claim files in a scratch directory (``O_CREAT|O_EXCL``-style
-hard-link claims — crash-safe without locks), ranks claim work
-greedily, and a supervisor watches rank sentinels
-(:mod:`repro.parallel.supervisor` patterns) plus heartbeat files. A
-dead rank's unfinished claims are **released to the survivors**; its
-shards resume from their last snapshot instead of rescanning. Respawn
-is bounded with backoff; each reduce level runs under its own
-watchdog; and when live ranks fall below the quorum the remaining
-tasks degrade to inline single-process execution in the coordinator
-(recorded as a reasoned ``meta["degraded_from"]``). Fault kinds
-``kill_rank`` and ``drop_seam_msg`` ride the existing
+One private job runner (``_run_job``) runs scan → seam → tree-reduce →
+flatten → label for both entry points, :func:`shard_label` and
+:func:`repro.parallel.net.net_shard_label`. Each task phase runs under
+one phase supervisor (``_supervise_phase``: watchdog, quorum,
+raise-or-degrade, done-marker fold) over one of two worker pools:
+
+* **local ranks** (:class:`_RankPool`) — forked processes claiming
+  tasks through crash-safe hard-link claim files, watched by sentinel
+  and heartbeat file; a dead rank's claims go back to the survivors and
+  its shard resumes from its last snapshot; respawn is bounded with
+  backoff; every forked rank is accounted exactly once as a clean
+  exit, a death, or a teardown kill;
+* **worker hosts** (:class:`~repro.parallel.net.cluster.NetPool`) —
+  sockets, leases and dispatcher threads.
+
+The degradation ladder is an ordered list of rungs — hosts (net runs
+only), local ranks, then inline execution in the coordinator — and
+each drop is recorded as a reasoned ``meta["degraded_from"]``. Fault
+kinds ``kill_rank`` and ``drop_seam_msg`` ride the existing
 :class:`~repro.faults.FaultPlan` machinery so all of this is provable
 in the chaos matrix (docs/SHARDED.md).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -310,20 +317,20 @@ def _read_heartbeat(pdir: pathlib.Path, rank: int) -> str | None:
     return raw
 
 
-def _record_claims_released(recorder, rank: int | str, released: int) -> None:
-    """Surface a claim-release sweep: ``shard.claims_released`` in the
-    trace, and — when an ambient :class:`RuntimeAggregator` is
-    installed — the same counter with a ``rank`` label in ``/metrics``,
-    so a recovery shows up on dashboards, not just in logs."""
-    if not released:
+def _count(recorder, name: str, n: int = 1, labels=None) -> None:
+    """Count on the run recorder and, when an ambient
+    :class:`RuntimeAggregator` is installed, on it too with *labels* —
+    so a recovery (a rank's released claims, a host's lease expiry)
+    shows up labelled on ``/metrics``, not just in the trace."""
+    if not n:
         return
     if recorder.enabled:
-        recorder.count("shard.claims_released", released)
+        recorder.count(name, n)
     from ..obs.runtime import get_runtime_aggregator
 
     agg = get_runtime_aggregator()
     if agg is not None:
-        agg.inc("shard.claims_released", released, labels={"rank": str(rank)})
+        agg.inc(name, n, labels=labels)
 
 
 def _mark_done(pdir: pathlib.Path, task: str, stats: dict) -> None:
@@ -544,13 +551,17 @@ def _run_reduce_task(ctx: dict, node: dict) -> dict:
     return stats
 
 
+def _noop() -> None:
+    pass
+
+
 def _execute_task(
     ctx: dict,
     phase: str,
     task: str,
     payload: dict | None,
-    heartbeat,
-    batch_tick,
+    heartbeat=_noop,
+    batch_tick=_noop,
     drop: bool = False,
 ) -> dict:
     if phase == "scan":
@@ -632,213 +643,32 @@ def _rank_main(
 
 
 # ---------------------------------------------------------------------------
-# the shard supervisor (one phase = one supervised elastic pool)
+# the phase supervisor: one skeleton over two worker pools
 # ---------------------------------------------------------------------------
 
 
-def _run_phase(
-    ctx: dict,
-    phase: str,
-    tasks: list[str],
-    payload: dict | None,
-    *,
-    n_ranks: int,
-    resilience,
-    fault_plan,
-    recorder,
-    quorum: int,
-    heartbeat_timeout: float | None,
-    degrade: bool,
-) -> dict:
-    """Run one phase's tasks under elastic supervision.
+def _open_phase(scratch, phase: str) -> pathlib.Path:
+    """Create one phase's claim/done/heartbeat tree and clear its claims.
 
-    Death detection via sentinels, staleness via heartbeats, claims of a
-    dead (rank, generation) released to survivors, bounded respawn with
-    backoff, a per-phase watchdog, and — when the pool drops below
-    *quorum* (or the watchdog expires) with *degrade* allowed — an
-    inline single-process fallback that finishes the remaining tasks in
-    the coordinator. Raises typed errors when degradation is off.
+    Stale claims (a previous coordinator's dead ranks, or a killed run
+    being resumed) would wedge the phase: every owner named in them is
+    gone, so clearing wholesale is safe — done markers, not claims, are
+    the record of completed work.
     """
-    scratch = pathlib.Path(ctx["scratch"])
-    pdir = _phase_dir(scratch, phase)
+    pdir = _phase_dir(pathlib.Path(scratch), phase)
     for sub in ("claim", "done", "hb"):
         (pdir / sub).mkdir(parents=True, exist_ok=True)
-    # stale claims (a previous coordinator's dead ranks, or a killed
-    # run being resumed) would wedge the phase: every owner named in
-    # them is gone, so clearing wholesale is safe — done markers, not
-    # claims, are the record of completed work.
     for entry in (pdir / "claim").iterdir():
         try:
             entry.unlink()
         except OSError:  # pragma: no cover - concurrent cleanup
             pass
+    return pdir
 
-    agg: dict = {
-        "tasks": len(tasks),
-        "rank_deaths": 0,
-        "respawns": 0,
-        "reassigned": 0,
-        "claims_released": 0,
-        "heartbeat_kills": 0,
-        "inline_tasks": 0,
-        "degraded": None,
-    }
-    if not _undone(pdir, tasks):
-        agg["skipped"] = True
-        return agg
 
-    mp_ctx = executor_context()
-    parent_pid = os.getpid()
-    deadline = time.monotonic() + resilience.phase_timeout
-    quorum = max(1, quorum)
-    procs: dict[int, object] = {}
-    gens = {r: 0 for r in range(n_ranks)}
-    #: rank -> (last observed heartbeat content, monotonic time the
-    #: content last *changed*). Progress is counter comparison across
-    #: sweeps — wall-clock mtime deltas would trust host clocks.
-    hb_seen: dict[int, tuple[str | None, float]] = {}
-    all_procs: list = []
-    degrade_reason: dict | None = None
-
-    def spawn(rank: int) -> None:
-        gen = gens[rank]
-        directives: tuple = ()
-        if fault_plan.enabled:
-            specs = fault_plan.directives(phase, rank, gen, kinds=RANK_KINDS)
-            for spec in specs:
-                record_injection(recorder, spec)
-            directives = tuple(
-                (spec.kind, spec.after_chunks, spec.exit_code)
-                for spec in specs
-            )
-        proc = mp_ctx.Process(
-            target=_rank_main,
-            args=(ctx, phase, rank, gen, tasks, payload, directives, parent_pid),
-            name=f"shard-rank-{phase}-{rank}",
-            daemon=True,
-        )
-        proc.start()
-        procs[rank] = proc
-        # restart the staleness clock: the fresh generation begins its
-        # counter anew, which must not read as "no progress".
-        hb_seen[rank] = (None, time.monotonic())
-        all_procs.append(proc)
-        if recorder.enabled:
-            recorder.count("shard.ranks_forked")
-
-    try:
-        for rank in range(n_ranks):
-            spawn(rank)
-        while _undone(pdir, tasks):
-            if time.monotonic() > deadline:
-                kill_workers(list(procs.values()))
-                procs.clear()
-                if recorder.enabled:
-                    recorder.count("watchdog.timeout")
-                err = PhaseTimeoutError(
-                    f"shard phase {phase!r} watchdog expired after "
-                    f"{resilience.phase_timeout:.1f}s with "
-                    f"{len(_undone(pdir, tasks))} task(s) unfinished",
-                    phase=phase,
-                    timeout=resilience.phase_timeout,
-                    ranks=tuple(sorted(gens)),
-                )
-                if not degrade:
-                    raise err
-                degrade_reason = degradation_reason("sharded", err)
-                break
-            if heartbeat_timeout:
-                mono = time.monotonic()
-                for rank, proc in list(procs.items()):
-                    beat = _read_heartbeat(pdir, rank)
-                    prev = hb_seen.get(rank)
-                    if prev is None:
-                        hb_seen[rank] = (beat, mono)
-                        continue
-                    if beat is not None and beat != prev[0]:
-                        # counter progressed: alive. A torn/malformed
-                        # read (None) is *not* progress — the staleness
-                        # clock keeps running on the last good beat.
-                        hb_seen[rank] = (beat, mono)
-                    elif mono - prev[1] > heartbeat_timeout:
-                        # a wedged rank holds its claims forever; kill
-                        # it and let the sentinel path below reclaim.
-                        kill_workers([proc])
-                        agg["heartbeat_kills"] += 1
-                        if recorder.enabled:
-                            recorder.count("shard.heartbeat_kills")
-            sent_map = {p.sentinel: (r, p) for r, p in procs.items()}
-            ready = (
-                connection.wait(list(sent_map), timeout=_WAIT_TICK)
-                if sent_map
-                else ()
-            )
-            for sentinel in ready:
-                rank, proc = sent_map[sentinel]
-                proc.join()
-                del procs[rank]
-                if proc.exitcode == 0:
-                    # ranks exit 0 only once every task is done-marked;
-                    # the loop condition will observe that next pass.
-                    continue
-                agg["rank_deaths"] += 1
-                if recorder.enabled:
-                    recorder.count("shard.rank_deaths")
-                released = _release_claims(pdir, rank, gens[rank], tasks)
-                agg["reassigned"] += released
-                agg["claims_released"] += released
-                _record_claims_released(recorder, rank, released)
-                if recorder.enabled and released:
-                    recorder.count("shard.reassigned", released)
-                if gens[rank] < resilience.max_retries:
-                    gens[rank] += 1
-                    agg["respawns"] += 1
-                    if recorder.enabled:
-                        recorder.count("shard.respawns")
-                    interruptible_backoff(
-                        min(
-                            resilience.backoff(gens[rank]),
-                            max(0.0, deadline - time.monotonic()),
-                        )
-                    )
-                    spawn(rank)
-            if len(procs) < quorum and _undone(pdir, tasks):
-                dead = tuple(sorted(set(gens) - set(procs)))
-                err = WorkerCrashError(
-                    f"shard phase {phase!r} fell below quorum: "
-                    f"{len(procs)} of {n_ranks} rank(s) alive "
-                    f"(need {quorum}), respawn budget spent on ranks "
-                    f"{list(dead)}",
-                    ranks=dead,
-                    phase=phase,
-                    attempts=max(gens.values()) + 1,
-                )
-                if not degrade:
-                    raise err
-                kill_workers(list(procs.values()))
-                procs.clear()
-                degrade_reason = degradation_reason("sharded", err)
-                break
-    finally:
-        kill_workers(all_procs)
-
-    if degrade_reason is not None:
-        # the degradation rung: whatever the pool left behind runs
-        # inline, single-process, in the coordinator — the terminal
-        # "single-process tiled" rung, which has no ranks left to lose.
-        agg["degraded"] = degrade_reason
-        if recorder.enabled:
-            recorder.count("shard.degraded")
-        for task in _undone(pdir, tasks):
-            stats = _execute_task(
-                ctx, phase, task, payload,
-                heartbeat=lambda: None, batch_tick=lambda: None,
-            )
-            _mark_done(pdir, task, stats)
-            agg["inline_tasks"] += 1
-            if recorder.enabled:
-                recorder.count("shard.inline_tasks")
-
+def _fold_done(pdir: pathlib.Path, tasks: list[str], agg: dict, recorder) -> None:
+    """Fold the done markers of a finished phase into its stats —
+    whoever wrote them: a rank, a host, or the coordinator inline."""
     for task in tasks:
         try:
             stats = json.loads((pdir / "done" / task).read_text())
@@ -851,15 +681,261 @@ def _run_phase(
             agg.setdefault("resumed_tasks", []).append(task)
     if recorder.enabled:
         recorder.count("shard.tasks_completed", len(tasks))
-        if agg.get("rescan_chunks"):
-            recorder.count("shard.rescan_chunks", agg["rescan_chunks"])
-        if agg.get("seam_recovered"):
-            recorder.count("shard.seam_recovered", agg["seam_recovered"])
+        for key in ("rescan_chunks", "seam_recovered"):
+            if agg.get(key):
+                recorder.count(f"shard.{key}", agg[key])
+
+
+def _supervise_phase(
+    pool, ctx: dict, phase: str, tasks: list[str], payload: dict | None,
+    *, timeout: float, degrade: bool,
+) -> dict:
+    """Run one phase's tasks on *pool* under the one phase supervisor.
+
+    *pool* is a :class:`_RankPool` (local ranks) or a
+    :class:`~repro.parallel.net.cluster.NetPool` (worker hosts). The
+    pool starts its workers in ``_begin``, does one poll tick of its own
+    supervision in ``_step`` (returning a typed error when it can no
+    longer make progress, e.g. below quorum), and reaps every worker in
+    ``_end``. This skeleton owns the rest: the phase directory, skipping
+    an already-done phase, the watchdog, raise-or-degrade, and the
+    done-marker fold. A degraded phase returns a reasoned ``degraded``
+    record with its remaining tasks undone, for the next rung of the
+    ladder to finish.
+    """
+    pdir = _open_phase(ctx["scratch"], phase)
+    agg: dict = {
+        "tasks": len(tasks), **dict.fromkeys(pool.counters, 0), "degraded": None,
+    }
+    if not _undone(pdir, tasks):
+        agg["skipped"] = True
+        return agg
+    deadline = time.monotonic() + timeout
+    try:
+        pool._begin(ctx, pdir, phase, tasks, payload, agg)
+        while not pool._finished():
+            if time.monotonic() > deadline:
+                if pool.recorder.enabled:
+                    pool.recorder.count("watchdog.timeout")
+                err = PhaseTimeoutError(
+                    f"{pool.backend} phase {phase!r} watchdog expired after "
+                    f"{timeout:.1f}s with {len(_undone(pdir, tasks))} "
+                    "task(s) unfinished",
+                    phase=phase,
+                    timeout=timeout,
+                    ranks=pool.ranks,
+                )
+            else:
+                err = pool._step(deadline)
+            if err is not None:
+                if not degrade:
+                    raise err
+                agg["degraded"] = degradation_reason(pool.backend, err)
+                break
+    finally:
+        pool._end()
+    if not agg["degraded"]:
+        _fold_done(pdir, tasks, agg, pool.recorder)
     return agg
 
 
+def _run_inline(
+    ctx: dict, phase: str, tasks: list[str], payload: dict | None,
+    agg: dict, recorder,
+) -> None:
+    """The ladder's last rung: the coordinator runs the phase's
+    remaining tasks itself, single-process — no workers left to lose."""
+    pdir = _open_phase(ctx["scratch"], phase)
+    for task in _undone(pdir, tasks):
+        _mark_done(pdir, task, _execute_task(ctx, phase, task, payload))
+        agg["inline_tasks"] = agg.get("inline_tasks", 0) + 1
+        if recorder.enabled:
+            recorder.count("shard.inline_tasks")
+    _fold_done(pdir, tasks, agg, recorder)
+
+
+class _RankPool:
+    """The local worker pool: forked ranks claiming tasks through files.
+
+    Death detection via sentinels, staleness via heartbeat files, claims
+    of a dead (rank, generation) released to the survivors, and bounded
+    respawn with backoff. A phase ends by natural exit: ranks leave with
+    code 0 once every task has a done marker. Each forked rank is then
+    classified exactly once — ``ranks_forked == clean_exits +
+    rank_deaths + teardown_kills`` — where heartbeat kills are deaths
+    and teardown kills happen only on error paths (watchdog, quorum
+    loss, an exception in the coordinator).
+    """
+
+    backend = "sharded"
+    counters = (
+        "ranks_forked", "clean_exits", "rank_deaths", "teardown_kills",
+        "respawns", "reassigned", "claims_released", "heartbeat_kills",
+        "inline_tasks",
+    )
+
+    def __init__(
+        self, n_ranks: int, *, resilience, fault_plan, recorder,
+        quorum: int, heartbeat_timeout: float | None,
+    ) -> None:
+        self.ranks = tuple(range(n_ranks))
+        self.resilience = resilience
+        self.fault_plan = fault_plan
+        self.recorder = recorder
+        self.quorum = max(1, quorum)
+        self.heartbeat_timeout = heartbeat_timeout
+        self._mp = executor_context()
+
+    def run_phase(
+        self, phase: str, tasks: list[str], payload: dict | None, ctx: dict,
+        *, phase_timeout: float, degrade: bool,
+    ) -> dict:
+        return _supervise_phase(
+            self, ctx, phase, tasks, payload,
+            timeout=phase_timeout, degrade=degrade,
+        )
+
+    def _begin(self, ctx, pdir, phase, tasks, payload, agg) -> None:
+        self._agg = agg
+        self._procs: dict[int, object] = {}
+        self._ctx, self._pdir, self._phase = ctx, pdir, phase
+        self._tasks, self._payload = tasks, payload
+        self._gens = dict.fromkeys(self.ranks, 0)
+        #: rank -> (last observed heartbeat content, monotonic time the
+        #: content last *changed*). Progress is counter comparison across
+        #: sweeps — wall-clock mtime deltas would trust host clocks.
+        self._hb_seen: dict[int, tuple[str | None, float]] = {}
+        for rank in self.ranks:
+            self._spawn(rank)
+
+    def _spawn(self, rank: int) -> None:
+        gen = self._gens[rank]
+        directives: tuple = ()
+        if self.fault_plan.enabled:
+            specs = self.fault_plan.directives(
+                self._phase, rank, gen, kinds=RANK_KINDS
+            )
+            for spec in specs:
+                record_injection(self.recorder, spec)
+            directives = tuple(
+                (spec.kind, spec.after_chunks, spec.exit_code)
+                for spec in specs
+            )
+        proc = self._mp.Process(
+            target=_rank_main,
+            args=(self._ctx, self._phase, rank, gen, self._tasks,
+                  self._payload, directives, os.getpid()),
+            name=f"shard-rank-{self._phase}-{rank}",
+            daemon=True,
+        )
+        proc.start()
+        self._procs[rank] = proc
+        # restart the staleness clock: the fresh generation begins its
+        # counter anew, which must not read as "no progress".
+        self._hb_seen[rank] = (None, time.monotonic())
+        self._agg["ranks_forked"] += 1
+        if self.recorder.enabled:
+            self.recorder.count("shard.ranks_forked")
+
+    def _finished(self) -> bool:
+        return not self._procs and not _undone(self._pdir, self._tasks)
+
+    def _step(self, deadline: float) -> Exception | None:
+        if self.heartbeat_timeout:
+            self._kill_stale()
+        if self._procs:
+            connection.wait(
+                [p.sentinel for p in self._procs.values()], timeout=_WAIT_TICK
+            )
+        self._reap(deadline)
+        if len(self._procs) < self.quorum and _undone(self._pdir, self._tasks):
+            dead = tuple(sorted(set(self.ranks) - set(self._procs)))
+            return WorkerCrashError(
+                f"shard phase {self._phase!r} fell below quorum: "
+                f"{len(self._procs)} of {len(self.ranks)} rank(s) alive "
+                f"(need {self.quorum}), respawn budget spent on ranks "
+                f"{list(dead)}",
+                ranks=dead,
+                phase=self._phase,
+                attempts=max(self._gens.values()) + 1,
+            )
+        return None
+
+    def _kill_stale(self) -> None:
+        mono = time.monotonic()
+        for rank, proc in self._procs.items():
+            beat = _read_heartbeat(self._pdir, rank)
+            last, since = self._hb_seen[rank]
+            if beat is not None and beat != last:
+                # counter progressed: alive. A torn/malformed read (None)
+                # is *not* progress — the staleness clock keeps running
+                # on the last good beat.
+                self._hb_seen[rank] = (beat, mono)
+            elif mono - since > self.heartbeat_timeout and proc.exitcode is None:
+                # a wedged rank holds its claims forever: kill it, and
+                # the reap counts it as a death and releases them.
+                kill_workers([proc])
+                self._agg["heartbeat_kills"] += 1
+                if self.recorder.enabled:
+                    self.recorder.count("shard.heartbeat_kills")
+
+    def _reap(self, deadline: float | None = None) -> None:
+        """Classify every rank that has exited since the last sweep.
+
+        Exit 0 is a clean exit; anything else is a death, whose claims
+        go back to the survivors and which respawns while its budget
+        lasts — except at teardown (*deadline* ``None``). Every exited
+        child is reaped here, whether or not ``connection.wait``
+        reported its sentinel.
+        """
+        for rank, proc in list(self._procs.items()):
+            if proc.exitcode is None:
+                continue
+            del self._procs[rank]
+            if proc.exitcode == 0:
+                self._agg["clean_exits"] += 1
+                continue
+            self._agg["rank_deaths"] += 1
+            if self.recorder.enabled:
+                self.recorder.count("shard.rank_deaths")
+            released = _release_claims(
+                self._pdir, rank, self._gens[rank], self._tasks
+            )
+            self._agg["reassigned"] += released
+            self._agg["claims_released"] += released
+            _count(self.recorder, "shard.claims_released", released,
+                   labels={"rank": str(rank)})
+            if self.recorder.enabled and released:
+                self.recorder.count("shard.reassigned", released)
+            if deadline is None or self._gens[rank] >= self.resilience.max_retries:
+                continue
+            self._gens[rank] += 1
+            self._agg["respawns"] += 1
+            if self.recorder.enabled:
+                self.recorder.count("shard.respawns")
+            interruptible_backoff(
+                min(
+                    self.resilience.backoff(self._gens[rank]),
+                    max(0.0, deadline - time.monotonic()),
+                )
+            )
+            self._spawn(rank)
+
+    def _end(self) -> None:
+        self._reap()
+        live = list(self._procs.values())
+        if live:
+            # only the error paths get here with ranks alive: a finished
+            # phase has already seen every rank exit on its own.
+            kill_workers(live)
+            self._agg["teardown_kills"] += len(live)
+            self._procs.clear()
+        if self._agg["degraded"] and self.recorder.enabled:
+            self.recorder.count("shard.degraded")
+
+
 # ---------------------------------------------------------------------------
-# the coordinator
+# the job runner
 # ---------------------------------------------------------------------------
 
 
@@ -868,7 +944,6 @@ def _ensure_shard_image(image) -> np.ndarray:
 
     ``ensure_input`` would copy a multi-GB memmap into RAM, defeating
     the out-of-core point; memmaps are validated structurally instead.
-    Shared by the single-host and multi-host coordinators.
     """
     if isinstance(image, np.memmap):
         if image.ndim != 2:
@@ -885,13 +960,9 @@ def _ensure_shard_image(image) -> np.ndarray:
 def _init_scratch(
     scratch: pathlib.Path, fingerprint: dict, rows: int, cols: int
 ) -> None:
-    """Create (or validate) the durable scratch tree for one job.
-
-    Shared by the single-host coordinator and the multi-host cluster
-    coordinator (:mod:`repro.parallel.net.cluster`): ``meta.json``
-    fingerprint check, the task/forest/pair subtrees, and the
-    provisional-label memmap.
-    """
+    """Create (or validate) the durable scratch tree for one job: the
+    ``meta.json`` fingerprint check, the task/forest/pair subtrees, and
+    the provisional-label memmap."""
     scratch.mkdir(parents=True, exist_ok=True)
     meta_path = scratch / "meta.json"
     if meta_path.exists():
@@ -1001,6 +1072,179 @@ def _finalize_output(
     return np.load(out, mmap_mode="r")
 
 
+def _run_job(
+    image,
+    *,
+    algorithm: str,
+    open_pools,
+    tile_shape: tuple[int, int],
+    connectivity: int,
+    n_shards: int,
+    checkpoint_dir,
+    checkpoint_every: int,
+    resume: bool,
+    out,
+    recorder,
+    resilience,
+    degrade: bool,
+) -> CCLResult:
+    """The one sharded job runner behind ``shard_label`` and
+    ``net_shard_label``.
+
+    It validates the input, plans the shards, owns the scratch
+    lifecycle, and runs scan → seam → tree-reduce → flatten → label.
+    ``open_pools(ctx, recorder)`` is a context manager yielding
+    ``(rungs, meta)``: the degradation ladder's worker-pool rungs as
+    ``(pool, pool_ctx)`` pairs, in order, and the entry point's own
+    ``meta`` keys. Each task phase runs on the current rung; a rung
+    that degrades hands the phase's remaining tasks to the next one and
+    is abandoned for the rest of the job, and below the last pool sits
+    the inline rung.
+    """
+    rec = recorder if recorder is not None else get_recorder()
+    th, tw = tile_shape
+    if th < 1 or tw < 1:
+        raise ValueError(f"tile dimensions must be >= 1, got {tile_shape!r}")
+    image = _ensure_shard_image(image)
+    rows, cols = image.shape
+    check_label_capacity((rows, cols))
+    if rows == 0 or cols == 0:
+        # degenerate rasters take the serial path (the oracle itself);
+        # there is nothing to shard and nothing to survive.
+        from .tiled import tiled_label
+
+        return tiled_label(
+            image, tile_shape=tile_shape, connectivity=connectivity,
+            recorder=rec, out=out,
+        )
+
+    plan = plan_shards(rows, cols, (th, tw), n_shards)
+    S = plan.n_shards
+    # one fingerprint for every entry point: a scratch tree written by
+    # either runtime is resumable by the other.
+    fingerprint = {
+        "kind": "sharded",
+        "shape": [rows, cols],
+        "dtype": str(np.asarray(image).dtype),
+        "tile_shape": [th, tw],
+        "connectivity": connectivity,
+        "n_shards": S,
+    }
+    mark = rec.mark()
+    timer = PhaseTimer(rec)
+    phase_stats: dict[str, dict] = {}
+    degraded_from: dict | None = None
+    with contextlib.ExitStack() as stack:
+        if checkpoint_dir is not None:
+            scratch = pathlib.Path(checkpoint_dir) / "scratch"
+            scratch.parent.mkdir(parents=True, exist_ok=True)
+            if not resume and scratch.exists():
+                shutil.rmtree(scratch)
+        else:
+            tmp = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-shard-")
+            )
+            scratch = pathlib.Path(tmp) / "scratch"
+        _init_scratch(scratch, fingerprint, rows, cols)
+        ctx = {
+            "scratch": str(scratch),
+            "image": image,
+            "plan": plan,
+            "connectivity": connectivity,
+            "checkpoint_every": checkpoint_every,
+            "use_checkpoint": checkpoint_dir is not None,
+            "fingerprint": fingerprint,
+        }
+        rungs, meta = stack.enter_context(open_pools(ctx, rec))
+        rung = 0
+
+        def run(phase: str, tasks: list[str], payload: dict | None = None):
+            nonlocal rung, degraded_from
+            stats = None
+            while rung < len(rungs):
+                pool, pool_ctx = rungs[rung]
+                above, stats = stats, pool.run_phase(
+                    phase, tasks, payload, pool_ctx,
+                    phase_timeout=resilience.phase_timeout, degrade=degrade,
+                )
+                if above is not None:
+                    # only the cluster rung sits above another pool
+                    stats["net"] = above
+                if not stats["degraded"]:
+                    break
+                degraded_from = degraded_from or stats["degraded"]
+                rung += 1
+            else:
+                stats = stats or {"tasks": len(tasks), "degraded": None}
+                _run_inline(ctx, phase, tasks, payload, stats, rec)
+            phase_stats[phase] = stats
+
+        with timer.time("scan"):
+            run("scan", [f"shard-{s:04d}" for s in range(S)])
+
+        offsets, totals, total = _compute_offsets(scratch, S)
+
+        with timer.time("seam"):
+            if S > 1:
+                run("seam", [f"seam-{s:04d}" for s in range(S - 1)])
+
+        levels, top_ref = build_reduce_schedule(S)
+        with timer.time("reduce"):
+            for level, nodes in enumerate(levels):
+                run(
+                    f"reduce-{level}",
+                    [node["id"] for node in nodes],
+                    {node["id"]: node for node in nodes},
+                )
+
+        with timer.time("flatten"):
+            lut, n_components = _flatten_lut(ctx, top_ref, total)
+
+        with timer.time("label"):
+            final = _finalize_output(
+                lut, _open_prov(ctx, "r"), plan, offsets, totals, out
+            )
+
+        # success: nothing left to resume — leave the checkpoint
+        # directory exactly as clean as we found it.
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    sums = dict.fromkeys((
+        "ranks_forked", "clean_exits", "rank_deaths", "teardown_kills",
+        "respawns", "reassigned", "claims_released", "heartbeat_kills",
+        "inline_tasks", "rescan_chunks", "seam_recovered", "dropped_seam",
+    ), 0)
+    resumed_tasks: list[str] = []
+    for stats in phase_stats.values():
+        for rung_stats in (stats, stats.get("net") or {}):
+            for key in sums:
+                sums[key] += int(rung_stats.get(key) or 0)
+        resumed_tasks.extend(stats.get("resumed_tasks", ()))
+    if rec.enabled:
+        rec.gauge("shard.n_shards", S)
+        rec.gauge("shard.reduce_levels", len(levels))
+    meta.update(
+        n_shards=S,
+        tile_shape=(th, tw),
+        n_tiles=plan.n_tiles,
+        reduce_levels=len(levels),
+        shards_resumed=resumed_tasks,
+        phases=phase_stats,
+        **sums,
+    )
+    if degraded_from is not None:
+        meta["degraded_from"] = degraded_from
+    return CCLResult(
+        labels=final,
+        n_components=n_components,
+        provisional_count=total,
+        phase_seconds=timer.seconds,
+        algorithm=algorithm,
+        meta=meta,
+        timings=rec.report(since=mark) if rec.enabled else None,
+    )
+
+
 def shard_label(
     image: np.ndarray,
     n_shards: int = 4,
@@ -1067,152 +1311,25 @@ def shard_label(
     >>> int(shard_label(img, n_shards=2, tile_shape=(4, 4)).n_components)
     1
     """
-    rec = recorder if recorder is not None else get_recorder()
     resilience = resilience if resilience is not None else DEFAULT_RESILIENCE
     fault_plan = fault_plan if fault_plan is not None else NULL_PLAN
-    th, tw = tile_shape
-    if th < 1 or tw < 1:
-        raise ValueError(f"tile dimensions must be >= 1, got {tile_shape!r}")
-    image = _ensure_shard_image(image)
-    rows, cols = image.shape
-    check_label_capacity((rows, cols))
-    if rows == 0 or cols == 0:
-        # degenerate rasters take the serial path (the oracle itself);
-        # there is nothing to shard and nothing to survive.
-        from .tiled import tiled_label
 
-        return tiled_label(
-            image, tile_shape=tile_shape, connectivity=connectivity,
-            recorder=rec, out=out,
+    @contextlib.contextmanager
+    def local_ranks(ctx: dict, rec):
+        S = ctx["plan"].n_shards
+        ranks = max(1, min(n_ranks if n_ranks is not None else S, S))
+        if rec.enabled:
+            rec.gauge("shard.n_ranks", ranks)
+        pool = _RankPool(
+            ranks, resilience=resilience, fault_plan=fault_plan,
+            recorder=rec, quorum=quorum, heartbeat_timeout=heartbeat_timeout,
         )
+        yield [(pool, ctx)], {"n_ranks": ranks}
 
-    plan = plan_shards(rows, cols, (th, tw), n_shards)
-    S = plan.n_shards
-    ranks = min(n_ranks if n_ranks is not None else S, S)
-    ranks = max(1, ranks)
-
-    fingerprint = {
-        "kind": "sharded",
-        "shape": [rows, cols],
-        "dtype": str(np.asarray(image).dtype),
-        "tile_shape": [th, tw],
-        "connectivity": connectivity,
-        "n_shards": S,
-    }
-
-    tmp_ctx = None
-    if checkpoint_dir is not None:
-        ck_root = pathlib.Path(checkpoint_dir)
-        ck_root.mkdir(parents=True, exist_ok=True)
-        scratch = ck_root / "scratch"
-        if not resume and scratch.exists():
-            shutil.rmtree(scratch)
-    else:
-        tmp_ctx = tempfile.TemporaryDirectory(prefix="repro-shard-")
-        scratch = pathlib.Path(tmp_ctx.name) / "scratch"
-
-    mark = rec.mark()
-    timer = PhaseTimer(rec)
-    try:
-        _init_scratch(scratch, fingerprint, rows, cols)
-
-        ctx = {
-            "scratch": str(scratch),
-            "image": image,
-            "plan": plan,
-            "connectivity": connectivity,
-            "checkpoint_every": checkpoint_every,
-            "use_checkpoint": checkpoint_dir is not None,
-            "fingerprint": fingerprint,
-        }
-        phase_kwargs = dict(
-            n_ranks=ranks,
-            resilience=resilience,
-            fault_plan=fault_plan,
-            recorder=rec,
-            quorum=quorum,
-            heartbeat_timeout=heartbeat_timeout,
-            degrade=degrade,
-        )
-        phase_stats: dict[str, dict] = {}
-
-        with timer.time("scan"):
-            scan_tasks = [f"shard-{s:04d}" for s in range(S)]
-            phase_stats["scan"] = _run_phase(
-                ctx, "scan", scan_tasks, None, **phase_kwargs
-            )
-
-        offsets, totals, total = _compute_offsets(scratch, S)
-
-        with timer.time("seam"):
-            if S > 1:
-                seam_tasks = [f"seam-{s:04d}" for s in range(S - 1)]
-                phase_stats["seam"] = _run_phase(
-                    ctx, "seam", seam_tasks, None, **phase_kwargs
-                )
-
-        levels, top_ref = build_reduce_schedule(S)
-        with timer.time("reduce"):
-            for level, nodes in enumerate(levels):
-                payload = {node["id"]: node for node in nodes}
-                phase_stats[f"reduce-{level}"] = _run_phase(
-                    ctx,
-                    f"reduce-{level}",
-                    [node["id"] for node in nodes],
-                    payload,
-                    **phase_kwargs,
-                )
-
-        with timer.time("flatten"):
-            lut, n_components = _flatten_lut(ctx, top_ref, total)
-
-        with timer.time("label"):
-            prov = _open_prov(ctx, "r")
-            final = _finalize_output(lut, prov, plan, offsets, totals, out)
-            del prov
-
-        # success: nothing left to resume — leave the checkpoint
-        # directory exactly as clean as we found it.
-        shutil.rmtree(scratch, ignore_errors=True)
-    finally:
-        if tmp_ctx is not None:
-            tmp_ctx.cleanup()
-
-    agg = {
-        "rank_deaths": 0, "respawns": 0, "reassigned": 0,
-        "claims_released": 0, "heartbeat_kills": 0, "inline_tasks": 0,
-        "rescan_chunks": 0, "seam_recovered": 0, "dropped_seam": 0,
-    }
-    degraded_from = None
-    resumed_tasks: list[str] = []
-    for stats in phase_stats.values():
-        for key in agg:
-            agg[key] += int(stats.get(key) or 0)
-        if degraded_from is None and stats.get("degraded"):
-            degraded_from = stats["degraded"]
-        resumed_tasks.extend(stats.get("resumed_tasks", ()))
-    if rec.enabled:
-        rec.gauge("shard.n_shards", S)
-        rec.gauge("shard.n_ranks", ranks)
-        rec.gauge("shard.reduce_levels", len(levels))
-    meta = {
-        "n_shards": S,
-        "n_ranks": ranks,
-        "tile_shape": (th, tw),
-        "n_tiles": plan.n_tiles,
-        "reduce_levels": len(levels),
-        "shards_resumed": resumed_tasks,
-        "phases": phase_stats,
-        **agg,
-    }
-    if degraded_from is not None:
-        meta["degraded_from"] = degraded_from
-    return CCLResult(
-        labels=final,
-        n_components=n_components,
-        provisional_count=total,
-        phase_seconds=timer.seconds,
-        algorithm="sharded",
-        meta=meta,
-        timings=rec.report(since=mark) if rec.enabled else None,
+    return _run_job(
+        image, algorithm="sharded", open_pools=local_ranks,
+        tile_shape=tile_shape, connectivity=connectivity, n_shards=n_shards,
+        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
+        resume=resume, out=out, recorder=recorder, resilience=resilience,
+        degrade=degrade,
     )

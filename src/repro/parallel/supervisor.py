@@ -70,10 +70,6 @@ def kill_workers(procs) -> None:
             pass
 
 
-# kept under the historical private name for existing callers/tests.
-_kill_all = kill_workers
-
-
 def interruptible_backoff(delay: float, stop_event=None) -> bool:
     """Sleep *delay* seconds, waking early if *stop_event* is set.
 
@@ -189,7 +185,7 @@ def supervise(
                     ranks=hung,
                 )
         finally:
-            _kill_all(workers)
+            kill_workers(workers)
         if recorder.enabled:
             recorder.count("worker.joined", len(workers))
         failures = [

@@ -11,7 +11,10 @@ everything runs on loopback.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -247,6 +250,49 @@ def test_client_fault_kinds_recover_byte_identical(rng):
     assert _no_leaked_hosts()
 
 
+@pytest.mark.chaos
+def test_phase_threads_stop_before_run_phase_returns(rng, monkeypatch):
+    """Under the reduce-0 partition, once ``NetPool.run_phase`` returns
+    none of the phase's monitor or dispatcher threads is alive, and
+    neither the phase's stats nor the run-wide tallies change after."""
+    from repro.parallel.net import NetPool
+
+    returned = []
+    run_phase = NetPool.run_phase
+
+    def audited(self, phase, *args, **kwargs):
+        stats = run_phase(self, phase, *args, **kwargs)
+        alive = [
+            t.name for t in threading.enumerate()
+            if t.name.startswith(
+                (f"net-dispatch-{phase}-", f"net-monitor-{phase}")
+            )
+        ]
+        returned.append((phase, stats, copy.deepcopy(stats), alive))
+        return stats
+
+    monkeypatch.setattr(NetPool, "run_phase", audited)
+    img = _image(rng, 96, 48)
+    oracle = np.asarray(tiled_label(img, tile_shape=TILE).labels)
+    plan = FaultPlan([
+        FaultSpec("partition", phase="reduce-0", rank=0, delay_seconds=0.8),
+    ])
+    result = net_shard_label(
+        img, virtual_hosts=2, n_shards=4, tile_shape=TILE,
+        fault_plan=plan, net_config=NET_FAST, resilience=FAST,
+        lease_duration=0.3, heartbeat_interval=0.1,
+    )
+    totals = copy.deepcopy(result.meta["net"])
+    time.sleep(1.0)  # room for a straggling thread to count
+    assert np.array_equal(np.asarray(result.labels), oracle)
+    assert plan.injected == 1
+    assert "reduce-0" in [phase for phase, *_ in returned]
+    for phase, stats, snapshot, alive in returned:
+        assert not alive, (phase, alive)
+        assert stats == snapshot, phase
+    assert result.meta["net"] == totals
+
+
 # ---------------------------------------------------------------------------
 # the degradation ladder
 # ---------------------------------------------------------------------------
@@ -293,6 +339,11 @@ def test_midrun_quorum_loss_degrades_with_reason(rng):
     assert reason["error"] == "ClusterQuorumError"
     # the scan phase records both rungs it crossed
     assert result.meta["phases"]["scan"]["net"]["degraded"] is not None
+    # the local rung's recovery is reported at the top level, as for
+    # shard_label
+    for key in ("rank_deaths", "respawns", "reassigned", "claims_released",
+                "rescan_chunks", "seam_recovered", "shards_resumed"):
+        assert key in result.meta, key
     assert _no_leaked_hosts()
 
 

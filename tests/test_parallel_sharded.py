@@ -285,6 +285,43 @@ def test_fewer_ranks_than_shards(rng, tmp_path):
     assert result.meta["n_ranks"] == 2
 
 
+def test_death_counted_when_survivor_finishes_first(rng, tmp_path, monkeypatch):
+    """A rank killed at the root reduce level before it claims anything
+    is counted exactly once, even when ``connection.wait`` never reports
+    its sentinel — the window where the survivor finishes the phase
+    first. Every forked rank is classified exactly once, and a clean
+    phase end kills nobody."""
+    from repro.parallel import sharded
+
+    def no_sentinels(objects, timeout=None):
+        time.sleep(min(timeout or 0.0, 0.05))
+        return []
+
+    img = _image(rng)
+    oracle = np.asarray(tiled_label(img, tile_shape=TILE).labels)
+    levels, _ = build_reduce_schedule(plan_shards(*img.shape, TILE, 2).n_shards)
+    plan = FaultPlan([
+        FaultSpec("kill_rank", phase=f"reduce-{len(levels) - 1}",
+                  rank=0, after_chunks=0),
+    ])
+    monkeypatch.setattr(sharded.connection, "wait", no_sentinels)
+    result = shard_label(
+        img, n_shards=2, tile_shape=TILE,
+        checkpoint_dir=tmp_path / "ck", checkpoint_every=1,
+        resilience=FAST, fault_plan=plan,
+    )
+    monkeypatch.undo()
+    assert np.array_equal(np.asarray(result.labels), oracle)
+    assert result.meta["rank_deaths"] == plan.injected == 1
+    for phase, stats in result.meta["phases"].items():
+        assert stats["ranks_forked"] == (
+            stats["clean_exits"] + stats["rank_deaths"]
+            + stats["teardown_kills"]
+        ), phase
+    assert result.meta["teardown_kills"] == 0
+    assert _no_orphan_ranks()
+
+
 # ---------------------------------------------------------------------------
 # chaos: a real SIGKILL of the coordinator, then resume=True
 # ---------------------------------------------------------------------------
