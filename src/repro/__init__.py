@@ -56,7 +56,7 @@ from .parallel.tiled import tiled_label
 from .types import Connectivity, ensure_input
 from .volume import volume_label
 
-__version__ = "1.10.1"
+__version__ = "1.11.0"
 
 __all__ = [
     "label",
@@ -114,8 +114,21 @@ def label(
     Returns
     -------
     (labels, n_components):
-        ``int32`` label image (background 0, components ``1..K`` in
-        raster first-appearance order) and the component count.
+        ``int32`` label image (background 0, components ``1..K``) and
+        the component count. The order of ``1..K`` depends on the
+        engine: the two-row algorithms (the default ``aremsp``,
+        ``arun``, ``block2x2``) number components in the order AREMSP's
+        pair traversal first reaches them — row pairs top to bottom,
+        column-major within a pair — as does :func:`label_parallel`
+        with every engine; ``engine="vectorized"`` and the raster-scan
+        and propagation algorithms number them in raster order of
+        their first pixel; ``"auto"`` follows the engine it picks. The
+        partition is the same either way:
+
+        >>> label([[0, 0, 1], [1, 0, 0]])[0].tolist()
+        [[0, 0, 2], [1, 0, 0]]
+        >>> label([[0, 0, 1], [1, 0, 0]], engine="vectorized")[0].tolist()
+        [[0, 0, 1], [2, 0, 0]]
     """
     if engine == "vectorized":
         fn = get_algorithm("run-vectorized")

@@ -11,7 +11,7 @@ component structure. (Timing versions live in
 from __future__ import annotations
 
 from ...ccl.opcount import decision_tree_opcounts, tworow_opcounts
-from ...ccl.run_based import run_based_vectorized
+from ...ccl.run_based import extract_runs, run_based_vectorized
 from ...data.synthetic import granularity
 from ..report import ExperimentReport
 
@@ -38,7 +38,9 @@ def run_granularity(
         result = run_based_vectorized(img, 8)
         rec = {
             "components": result.n_components,
-            "runs_per_px": result.provisional_count / img.size,
+            # row runs, not the engine's provisional ids (pair runs
+            # under 8-connectivity)
+            "runs_per_px": len(extract_runs(img)[0]) / img.size,
             "merges_px_dtree": dt.merges / img.size,
             "merges_px_tworow": tr.merges / img.size,
             "reads_px_dtree": dt.neighbor_reads / img.size,

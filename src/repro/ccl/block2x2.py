@@ -38,7 +38,7 @@ from ..unionfind.flatten import flatten
 from ..unionfind.remsp import merge as remsp_merge
 from .labeling import CCLResult
 
-__all__ = ["block_label", "scan_blocks_chunk"]
+__all__ = ["block_label"]
 
 
 def _block_edges(
@@ -105,53 +105,6 @@ def _split_block_cells(
     c = padded[1::2, 0::2] != 0
     d = padded[1::2, 1::2] != 0
     return a, b, c, d
-
-
-def scan_blocks_chunk(
-    img_chunk: np.ndarray,
-    label_start: int,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Vectorised chunk scan for PAREMSP's ``vectorized-blocks`` engine
-    (8-connectivity only — see the module docstring).
-
-    Same contract as :func:`repro.ccl.run_based.scan_runs_chunk`: labels
-    one row chunk on the 2x2 block grid, allocating provisional labels
-    from the disjoint range starting at *label_start*, and returns
-    ``(label_chunk, used, p_slice)``. Foreground block ``i`` (0-based,
-    block-raster order) holds global label ``label_start + i``; blocks
-    number at most one per two pixels, so the range never collides with
-    the next chunk's.
-    """
-    rows, cols = img_chunk.shape
-    if img_chunk.size == 0:
-        return (
-            np.zeros((rows, cols), dtype=LABEL_DTYPE),
-            label_start,
-            np.empty(0, dtype=LABEL_DTYPE),
-        )
-    a, b, c, d = _split_block_cells(img_chunk)
-    fg = a | b | c | d
-    n_blocks = int(fg.sum())
-    ids = np.zeros(fg.shape, dtype=np.int64)
-    ids[fg] = np.arange(1, n_blocks + 1)
-    p_local: list[int] = list(range(n_blocks + 1))
-    if n_blocks:
-        u, v = _block_edges(a, b, c, d, ids)
-        for x, y in zip(u.tolist(), v.tolist()):
-            remsp_merge(p_local, x, y)
-    # per-pixel provisional labels: expand global block ids, mask bg
-    global_ids = np.zeros(fg.shape, dtype=LABEL_DTYPE)
-    global_ids[fg] = np.arange(
-        label_start, label_start + n_blocks, dtype=LABEL_DTYPE
-    )
-    pixel = np.repeat(np.repeat(global_ids, 2, axis=0), 2, axis=1)
-    label_chunk = np.ascontiguousarray(
-        np.where(img_chunk != 0, pixel[:rows, :cols], 0).astype(LABEL_DTYPE)
-    )
-    p_slice = np.asarray(p_local[1:], dtype=LABEL_DTYPE) + LABEL_DTYPE(
-        label_start - 1
-    )
-    return label_chunk, label_start + n_blocks, p_slice
 
 
 def block_label(image: np.ndarray, connectivity: int = 8) -> CCLResult:

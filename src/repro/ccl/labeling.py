@@ -68,8 +68,12 @@ class CCLResult:
     Attributes
     ----------
     labels:
-        ``int32`` label image; background 0, components ``1..n_components``
-        numbered in raster first-appearance order.
+        ``int32`` label image; background 0, components
+        ``1..n_components`` in first-appearance order of the
+        algorithm's traversal: raster order for the raster-scan,
+        run-based and propagation algorithms, AREMSP's pair traversal
+        (row pairs top to bottom, column-major within a pair) for
+        ``aremsp``, ``arun``, ``block2x2`` and PAREMSP.
     n_components:
         Number of connected components found.
     provisional_count:

@@ -81,6 +81,38 @@ def structural_image(request) -> np.ndarray:
     return request.param[1]
 
 
+def _seam_images() -> list[tuple[str, np.ndarray]]:
+    """Images that stress the seams between row pairs (rows 2k - 1 and
+    2k): odd row counts, one and two rows, one column, and components
+    that meet across a seam only diagonally."""
+    near_miss = np.zeros((6, 5), dtype=np.uint8)
+    near_miss[1, 0] = near_miss[2, 2] = 1  # two apart, one diagonal gap
+    seam_diagonal = np.zeros((8, 6), dtype=np.uint8)
+    seam_diagonal[[0, 1, 2, 3, 4, 5, 6, 7], [0, 0, 1, 1, 2, 2, 3, 3]] = 1
+    return [
+        ("checker_unit", checkerboard((13, 14))),
+        ("diag_zigzag", diagonal_chains((17, 19), spacing=3, zigzag=True)),
+        ("eye", np.eye(11, 9, dtype=np.uint8)),
+        ("anti_eye", np.fliplr(np.eye(10, dtype=np.uint8)).copy()),
+        ("seam_diagonal", seam_diagonal),
+        ("near_miss", near_miss),
+        ("one_row", random_noise((1, 13), 0.5, seed=21)),
+        ("two_rows", random_noise((2, 13), 0.5, seed=22)),
+        ("three_rows", random_noise((3, 13), 0.5, seed=23)),
+        ("one_col_odd", random_noise((9, 1), 0.6, seed=24)),
+        ("one_col_even", random_noise((10, 1), 0.6, seed=25)),
+        ("pairs_x7", random_noise((14, 6), 0.5, seed=26)),
+        ("odd_x7", random_noise((15, 6), 0.5, seed=27)),
+        ("odd_noise", random_noise((21, 17), 0.45, seed=28)),
+    ]
+
+
+@pytest.fixture
+def seam_images() -> list[tuple[str, np.ndarray]]:
+    """The pair-seam edge cases, as ``(name, image)`` pairs."""
+    return _seam_images()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20140519)

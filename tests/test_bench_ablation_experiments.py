@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.experiments import run_granularity, run_weak_scaling
+from repro.ccl.run_based import extract_runs
+from repro.data.synthetic import granularity
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,14 @@ class TestGranularity:
         for key in ("merges_px_dtree", "merges_px_tworow"):
             vals = [gran.data[g][key] for g in gs]
             assert vals == sorted(vals, reverse=True), key
+
+    def test_runs_per_px_counts_row_runs(self, gran):
+        # row runs / pixels, independent of how the labeling engine
+        # groups runs into provisional ids; scale=0.02 draws 80x80 images
+        img = granularity((80, 80), density=0.5, block=1, seed=5)
+        assert gran.data[1]["runs_per_px"] == (
+            len(extract_runs(img)[0]) / img.size
+        )
 
     def test_run_density_monotone(self, gran):
         gs = sorted(gran.data)

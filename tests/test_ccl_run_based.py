@@ -77,6 +77,16 @@ def test_engines_match_oracle(engine, connectivity, structural_image):
     assert labelings_equivalent(result.labels, expected)
 
 
+def pair_run_count(img: np.ndarray) -> int:
+    """Runs of ``img[0::2] | img[1::2]``: the 8-connectivity
+    provisional ids of the vectorised engine (an odd tail row pairs with
+    nothing)."""
+    img = np.asarray(img, dtype=np.uint8)
+    pairs = img[0::2].copy()
+    pairs[: img.shape[0] // 2] |= img[1::2]
+    return len(extract_runs(pairs)[0])
+
+
 def test_engines_bit_identical(structural_image):
     a = run_based(structural_image, 8)
     b = run_based_vectorized(structural_image, 8)
@@ -84,8 +94,8 @@ def test_engines_bit_identical(structural_image):
     assert a.n_components == b.n_components
     # provisional semantics differ by design: the interpreter engine
     # allocates a label only for runs with no connected predecessor,
-    # the vectorised engine ids every run.
-    assert a.provisional_count <= b.provisional_count
+    # the vectorised engine ids every pair run.
+    assert b.provisional_count == pair_run_count(structural_image)
 
 
 @given(
@@ -102,11 +112,28 @@ def test_property_engines_agree(img, connectivity):
     assert np.array_equal(a.labels, b.labels)
 
 
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_engines_bit_identical_on_seam_images(seam_images, connectivity):
+    for name, img in seam_images:
+        a = run_based(img, connectivity)
+        b = run_based_vectorized(img, connectivity)
+        assert np.array_equal(a.labels, b.labels), name
+        assert a.n_components == b.n_components, name
+
+
 def test_provisional_count_equals_run_count(rng):
     img = (rng.random((20, 20)) < 0.5).astype(np.uint8)
-    result = run_based_vectorized(img, 8)
+    # 8-connectivity: one id per pair run
+    assert run_based_vectorized(img, 8).provisional_count == (
+        pair_run_count(img)
+    )
+    # 4-connectivity: one id per row run
     _, ss, _ = extract_runs(img)
-    assert result.provisional_count == len(ss)
+    assert run_based_vectorized(img, 4).provisional_count == len(ss)
+    # two row runs the interpreter labels apart share one pair run
+    hook = np.array([[1, 0, 1], [1, 1, 1]], dtype=np.uint8)
+    assert run_based(hook, 8).provisional_count == 2
+    assert run_based_vectorized(hook, 8).provisional_count == 1
 
 
 def test_vectorized_4conn_touching_diagonal_runs_stay_separate():

@@ -13,6 +13,7 @@ import importlib
 import pytest
 
 MODULE_NAMES = [
+    "repro",
     "repro.unionfind.remsp",
     "repro.unionfind.parallel",
     "repro.parallel.partition",
@@ -20,6 +21,7 @@ MODULE_NAMES = [
     "repro.parallel.tiled",
     "repro.parallel.distributed",
     "repro.ccl.aremsp",
+    "repro.ccl.run_based",
     "repro.ccl.cclremsp",
     "repro.ccl.contour",
     "repro.ccl.grayscale",

@@ -21,7 +21,7 @@ from repro.verify.equivalence import canonicalize_labeling
 
 BACKENDS = ["serial", "threads", "processes", "simulated"]
 THREADS = [1, 2, 3, 5, 8]
-ENGINES = ["interpreter", "vectorized", "vectorized-blocks"]
+ENGINES = ["interpreter", "vectorized"]
 EXEC_BACKENDS = ["serial", "threads", "processes"]
 
 
@@ -181,7 +181,9 @@ class TestEngines:
                 assert np.array_equal(result.labels, seq.labels)
 
     @pytest.mark.parametrize("n_threads", [1, 3, 7])
-    def test_blocks_engine_thread_sweep_matches_aremsp(self, n_threads, rng):
+    def test_vectorized_threads_backend_sweep_matches_aremsp(
+        self, n_threads, rng
+    ):
         for shape in self.SHAPES:
             for density in (0.0, 0.45, 1.0):
                 img = (rng.random(shape) < density).astype(np.uint8)
@@ -189,11 +191,26 @@ class TestEngines:
                 result = paremsp(
                     img,
                     n_threads=n_threads,
-                    backend="serial",
-                    engine="vectorized-blocks",
+                    backend="threads",
+                    engine="vectorized",
                 )
                 assert result.n_components == seq.n_components
                 assert np.array_equal(result.labels, seq.labels)
+
+    @pytest.mark.parametrize("n_threads", range(1, 8))
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
+    def test_vectorized_pair_seams_match_aremsp(
+        self, backend, n_threads, seam_images
+    ):
+        """Pair runs meet only across pair seams: odd row counts, 1- and
+        2-row chunks, one column, and diagonal-only seam contacts."""
+        for name, img in seam_images:
+            seq = aremsp(img, 8)
+            result = paremsp(
+                img, n_threads=n_threads, backend=backend, engine="vectorized"
+            )
+            assert result.n_components == seq.n_components, name
+            assert np.array_equal(result.labels, seq.labels), name
 
     @given(
         img=hnp.arrays(
@@ -243,20 +260,18 @@ class TestEngines:
         with pytest.raises(ValueError, match="unknown engine"):
             paremsp(np.ones((4, 4), dtype=np.uint8), engine="gpu")
 
+    def test_retired_blocks_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            paremsp(
+                np.ones((4, 4), dtype=np.uint8), engine="vectorized-blocks"
+            )
+
     def test_simulated_rejects_vectorized(self):
         with pytest.raises(ValueError, match="simulated"):
             paremsp(
                 np.ones((4, 4), dtype=np.uint8),
                 backend="simulated",
                 engine="vectorized",
-            )
-
-    def test_blocks_engine_rejects_4conn(self):
-        with pytest.raises(ValueError, match="8-connectivity"):
-            paremsp(
-                np.ones((4, 4), dtype=np.uint8),
-                connectivity=4,
-                engine="vectorized-blocks",
             )
 
     def test_empty_image_vectorized(self):
