@@ -56,7 +56,7 @@ from .parallel.tiled import tiled_label
 from .types import Connectivity, ensure_input
 from .volume import volume_label
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "label",

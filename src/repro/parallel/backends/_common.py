@@ -6,8 +6,9 @@ data representation flows between the phases:
 * ``interpreter`` — the paper-faithful two-row scan
   (:func:`repro.ccl.scan_aremsp.scan_tworow`) over Python row lists, with
   a shared ``list`` equivalence array;
-* ``vectorized`` — the NumPy run-based kernel
-  (:func:`repro.ccl.run_based.scan_runs_chunk`) over ndarray row slices.
+* ``vectorized`` — the run-based kernel over ndarray row slices: the
+  native chunk scan (:mod:`repro.ccl._native`) when its library loads,
+  else the NumPy kernel (:func:`repro.ccl.run_based.scan_runs_chunk`).
 
 The vectorised kernel obeys one contract:
 ``kernel(img_chunk, label_start, connectivity, out=None) ->
@@ -26,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ...ccl import _native
 from ...ccl.run_based import scan_runs_chunk
 from ...errors import BackendError
 from ...types import LABEL_DTYPE
@@ -37,17 +39,16 @@ __all__ = ["VECTOR_ENGINES", "chunk_kernel", "gather_equivalences"]
 VECTOR_ENGINES = ("vectorized",)
 
 
-_KERNELS: dict[str, Callable] = {"vectorized": scan_runs_chunk}
-
-
 def chunk_kernel(engine: str) -> Callable:
-    """The per-chunk vectorised scan kernel for *engine*."""
-    try:
-        return _KERNELS[engine]
-    except KeyError:
+    """The per-chunk vectorised scan kernel for *engine*: the native
+    kernel when :func:`repro.ccl._native.load` provides it, else the
+    NumPy one (same contract, byte-identical results)."""
+    if engine not in VECTOR_ENGINES:
         raise BackendError(
             f"no vectorised chunk kernel for engine {engine!r}"
-        ) from None
+        )
+    native, _ = _native.load()
+    return native.scan_chunk if native is not None else scan_runs_chunk
 
 
 def gather_equivalences(

@@ -8,13 +8,14 @@ lock-based MERGER of Algorithm 8
 (:class:`repro.unionfind.parallel.LockStripedMerger`).
 
 CPython's GIL serialises interpreter bytecode, so the ``interpreter``
-engine demonstrates *correctness under real interleaving*, not speedup —
-that is the documented substitution (DESIGN.md §2). The vectorised
-engines fare better here: NumPy kernels release the GIL for whole-array
-operations, and each worker writes only its chunk's disjoint slice of
-the shared label array. Their boundary phase runs as a single coordinator
-batch (edge-list extraction + REMSP), since seam work is negligible
-(Figure 5a vs 5b).
+engine demonstrates *correctness under real interleaving*, not speedup.
+The ``vectorized`` engine scales: its chunk scan is one call into the
+native kernel (:mod:`repro.ccl._native`), which releases the GIL, so the
+chunks run on real cores, each worker writing only its chunk's disjoint
+slice of the shared label array (without the native library the NumPy
+kernel runs, and releases the GIL only inside whole-array operations).
+Its boundary phase runs as a single coordinator batch (edge-list
+extraction + REMSP), since seam work is negligible (Figure 5a vs 5b).
 """
 
 from __future__ import annotations

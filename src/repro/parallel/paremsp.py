@@ -9,11 +9,18 @@ Two scan *engines* ride the same pipeline:
 
 * ``interpreter`` (default) — the paper-faithful Python transcription of
   the two-row AREMSP scan, kept as the fidelity baseline;
-* ``vectorized`` — the NumPy run-based per-chunk kernel
-  (:func:`repro.ccl.run_based.scan_runs_chunk`; under 8-connectivity
-  one id per run of a row pair's column-wise OR) with an edge-list
-  boundary phase and array FLATTEN; same phases, array representations
-  end to end.
+* ``vectorized`` — the run-based per-chunk kernel (under
+  8-connectivity one id per run of a row pair's column-wise OR) with an
+  edge-list boundary phase and array FLATTEN; same phases, array
+  representations end to end. When the native library
+  (:mod:`repro.ccl._native`) loads, the 8-connectivity chunk scan, the
+  FLATTEN and a per-chunk relabel run in C and release the GIL, so the
+  ``threads`` backend scans and relabels on real cores; otherwise the
+  NumPy kernels (:func:`repro.ccl.run_based.scan_runs_chunk`,
+  :func:`~repro.unionfind.flatten.flatten_ranges_array`,
+  :func:`~repro.ccl.labeling.apply_table`) run, with identical
+  results. ``meta["native"]`` says which: ``True``, or the reason the
+  library did not load.
 
 Determinism contract (asserted by tests): provisional labels depend on
 the engine and the backend's interleaving, but the *final* labeling is
@@ -29,9 +36,11 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ..ccl import _native
 from ..ccl.labeling import CCLResult, apply_table, check_label_capacity
 from ..errors import BackendError
 from ..faults import degradation_reason
@@ -223,6 +232,12 @@ def _run_pipeline(
     )
     vectorised = engine in VECTOR_ENGINES
     meta: dict = {}
+    native = None
+    if vectorised:
+        # resolved here, before the processes backend forks its workers,
+        # so they inherit the loaded library instead of loading their own
+        native, reason = _native.load()
+        meta["native"] = True if native is not None else reason
     if backend != requested_backend:
         # a reasoned record, not a bare rung name: which backend the
         # run fell from, why (exception type + message), and the ranks
@@ -254,13 +269,17 @@ def _run_pipeline(
         )
     with timer.time("flatten"):
         ranges = [(c.label_start, u) for c, u in zip(chunks, used)]
-        if isinstance(p, np.ndarray):
+        if native is not None:
+            n_components = native.flatten_ranges(p, ranges)
+        elif isinstance(p, np.ndarray):
             n_components = flatten_ranges_array(p, ranges)
         else:
             n_components = flatten_ranges(p, ranges)
     with timer.time("label"):
         limit = max((u for u in used), default=1)
-        if len(label_source):
+        if native is not None:
+            labels = _relabel_chunks(native, label_source, p[:limit], chunks)
+        elif len(label_source):
             labels = apply_table(label_source, p, limit).reshape(rows, cols)
         else:
             labels = np.zeros((rows, cols), dtype=LABEL_DTYPE)
@@ -293,3 +312,23 @@ def _run_pipeline(
         engine=engine,
         timings=rec.report(since=mark) if rec.enabled else None,
     )
+
+
+def _relabel_chunks(native, plane: np.ndarray, lut: np.ndarray, chunks):
+    """The labeling phase in C: ``lut[plane]``, one call per row chunk on
+    a thread pool sized to the chunk count (the calls release the GIL).
+
+    A plane that owns its memory is relabeled in place. One that is a
+    view of a buffer it does not own (the ``processes`` backend's shared
+    label segment) is relabeled into a fresh array, so the result never
+    aliases a shared mapping.
+    """
+    out = plane if plane.flags.owndata else np.empty_like(plane)
+
+    def relabel(chunk) -> None:
+        rows = slice(chunk.row_start, chunk.row_stop)
+        native.relabel(plane[rows], out[rows], lut)
+
+    with ThreadPoolExecutor(max_workers=max(1, len(chunks))) as pool:
+        list(pool.map(relabel, chunks))
+    return out

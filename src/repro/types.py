@@ -58,6 +58,24 @@ class Connectivity(enum.IntEnum):
     EIGHT = 8
 
 
+def _is_binary(arr: np.ndarray) -> bool:
+    """Whether every value of *arr* is 0 or 1, checked in its own dtype.
+
+    Integer arrays take one or two whole-array reductions (``min`` only
+    for signed dtypes), about 100x cheaper than ``np.isin``; the check
+    must run before any cast to ``uint8``, which would wrap 256 to 0.
+    Other dtypes keep the NaN-safe ``np.isin`` membership test.
+    """
+    if not arr.size:
+        return True
+    kind = arr.dtype.kind
+    if kind in "ui":
+        return bool(
+            arr.max() <= FOREGROUND and (kind == "u" or arr.min() >= 0)
+        )
+    return bool(np.isin(arr, (BACKGROUND, FOREGROUND)).all())
+
+
 def as_binary_image(image: Any, *, validate: bool = True) -> np.ndarray:
     """Coerce *image* to the canonical binary-image representation.
 
@@ -89,7 +107,7 @@ def as_binary_image(image: Any, *, validate: bool = True) -> np.ndarray:
             raise ImageFormatError(
                 f"binary image must be 2-D, got shape {arr.shape!r}"
             )
-        if arr.size and not np.isin(arr, (BACKGROUND, FOREGROUND)).all():
+        if not _is_binary(arr):
             bad = np.unique(arr[~np.isin(arr, (BACKGROUND, FOREGROUND))])
             raise ImageFormatError(
                 f"binary image may contain only 0 and 1, found {bad[:8]!r}"
@@ -153,7 +171,7 @@ def ensure_input(image: Any, *, what: str = "image") -> np.ndarray:
             f"unsupported {what} dtype {arr.dtype!r}; expected a "
             "boolean, integer, or binary float array"
         )
-    if arr.size and not np.isin(arr, (BACKGROUND, FOREGROUND)).all():
+    if not _is_binary(arr):
         bad = np.unique(arr[~np.isin(arr, (BACKGROUND, FOREGROUND))])
         raise InputError(
             f"{what} may contain only 0 and 1, found {bad[:8]!r}"

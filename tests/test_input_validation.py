@@ -18,7 +18,7 @@ from repro.ccl.streaming import StreamingLabeler
 from repro.errors import ImageFormatError, InputError, ReproError
 from repro.parallel.paremsp import paremsp
 from repro.parallel.tiled import tiled_label
-from repro.types import ensure_input
+from repro.types import as_binary_image, ensure_input
 
 
 def _eye(dtype=np.uint8, n=8):
@@ -101,6 +101,51 @@ class TestEnsureInput:
         assert issubclass(InputError, ValueError)
         assert issubclass(InputError, ReproError)
         assert issubclass(ImageFormatError, InputError)
+
+
+#: both value gates; each must reject out-of-range values in the
+#: input's own dtype, before any cast to uint8 could hide them.
+VALUE_GATES = [
+    pytest.param(ensure_input, id="ensure_input"),
+    pytest.param(as_binary_image, id="as_binary_image"),
+]
+
+
+class TestValueCheckBeforeCast:
+    @pytest.mark.parametrize("gate", VALUE_GATES)
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+    def test_negative_rejected(self, gate, dtype):
+        img = _eye(dtype)
+        img[3, 5] = -1
+        with pytest.raises(InputError, match=r"only 0 and 1, found.*-1"):
+            gate(img)
+
+    @pytest.mark.parametrize("gate", VALUE_GATES)
+    @pytest.mark.parametrize(
+        "dtype, value",
+        [(np.uint16, 256), (np.int32, 256), (np.uint64, 2**63)],
+    )
+    def test_value_wrapping_to_zero_rejected(self, gate, dtype, value):
+        # a cast-first check would see 256 (or 2**63) as uint8 0
+        img = _eye(dtype)
+        img[0, 7] = value
+        assert img.astype(np.uint8)[0, 7] == 0
+        with pytest.raises(InputError, match=f"found.*{value}"):
+            gate(img)
+
+    @pytest.mark.parametrize("gate", VALUE_GATES)
+    def test_nan_rejected(self, gate):
+        img = _eye(np.float64)
+        img[2, 2] = np.nan
+        with pytest.raises(InputError):
+            gate(img)
+
+    @pytest.mark.parametrize("gate", VALUE_GATES)
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_binary_integers_accepted(self, gate, dtype):
+        out = gate(_eye(dtype))
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, _eye())
 
 
 #: entry points that must all apply the same policy. Each returns
